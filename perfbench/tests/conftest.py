@@ -1,0 +1,7 @@
+"""Put the benchmark package and the library source on ``sys.path``."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
