@@ -14,8 +14,12 @@ the existing accounting, no traversal kernel needed a hook — the budget
 is enforced mid-traversal in every tier, including the batched compiled
 kernel.
 
-**Degradation.**  :func:`run_query` answers through a chain of serving
-tiers, each strictly simpler (and slower) than the one before::
+**Degradation.**  :func:`run_ladder` is the one degradation ladder:
+every read walks its tiers through it — :func:`run_query` here, and the
+serving index's ``query``/``query_batch`` over a pinned snapshot
+(fabric → compiled → snapshot scan).  :func:`run_query` answers through
+a chain of tiers, each strictly simpler (and slower) than the one
+before::
 
     compiled   CompiledAdvancedTraveler over graph.compile()
        |       (recompiled automatically when the snapshot is stale)
@@ -28,10 +32,12 @@ tiers, each strictly simpler (and slower) than the one before::
 
 A tier that raises anything other than :class:`QueryBudgetExceeded` is
 abandoned; a :class:`~repro.errors.DegradedResultWarning` records the
-failure and the next tier answers.  Budget violations are *not* degraded
-around — every lower tier does at least as much record access, so the
-only honest response is the typed error.  The tier that actually produced
-the answer is recorded on :attr:`repro.core.result.TopKResult.tier`.
+failure and the next tier answers; a tier whose circuit breaker is open
+is skipped the same way, unless it is the last.  Budget violations are
+*not* degraded around — every lower tier does at least as much record
+access, so the only honest response is the typed error.  The tier that
+actually produced the answer is recorded on
+:attr:`repro.core.result.TopKResult.tier`.
 
 All three tiers return identical answers by construction (the compiled
 engine is bit-identical to the reference, and the naive scan is the
@@ -44,7 +50,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.core.advanced import AdvancedTraveler
 from repro.core.compiled import CompiledAdvancedTraveler, CompiledDG
@@ -52,16 +58,15 @@ from repro.core.functions import ScoringFunction, WherePredicate
 from repro.core.graph import DominantGraph
 from repro.core.result import TopKResult
 from repro.errors import (
-    DeadlineExceeded,
     DegradedResultWarning,
     InvariantViolation,
     QueryBudgetExceeded,
 )
 from repro.metrics.counters import AccessCounter
-from repro.resilience.breaker import BreakerBoard
+from repro.resilience.breaker import BreakerBoard, CircuitBreaker
 from repro.resilience.deadline import Deadline
 
-#: Serving tiers, fastest first; run_query walks this chain.
+#: Tiers over the mutable graph, fastest first; run_query walks this chain.
 TIERS = ("compiled", "reference", "naive")
 
 
@@ -178,6 +183,113 @@ def _run_tier(
     raise ValueError(f"unknown serving tier {tier!r}")
 
 
+class Rung(NamedTuple):
+    """One tier of a degradation ladder, as :func:`run_ladder` runs it.
+
+    Attributes
+    ----------
+    name:
+        The tier's name in warnings and on the typed budget errors it
+        raises (``"compiled"``, ``"fabric"``, ...).
+    answer:
+        Computes the answers, one per query, in query order.
+    breaker:
+        Circuit breaker consulted before the rung and charged with its
+        outcome, or ``None``.
+    tier:
+        Label stamped on every answer the rung produces; defaults to
+        ``name``.  The fabric rung answers as ``"compiled"``: it runs the
+        same kernel, only in other processes.
+    """
+
+    name: str
+    answer: Callable[[], "list[TopKResult]"]
+    breaker: CircuitBreaker | None = None
+    tier: str | None = None
+
+
+def run_ladder(
+    rungs: Sequence[Rung],
+    *,
+    deadline: Deadline | None = None,
+    fallback: bool = True,
+    epoch: int = -1,
+) -> "list[TopKResult]":
+    """Answer from the first rung that succeeds: the one degradation ladder.
+
+    Every read in the system walks its tiers through this function —
+    :func:`run_query` over the mutable graph, and the serving index's
+    ``query``/``query_batch`` over a pinned snapshot.  Per rung, in
+    order:
+
+    1. the request ``deadline`` is checked at entry;
+    2. a non-final rung whose breaker is open is skipped with a
+       :class:`~repro.errors.DegradedResultWarning` (the last rung is
+       never skipped: an all-open board answers slowly, never refuses);
+    3. :class:`~repro.errors.QueryBudgetExceeded` (and its subclass
+       :class:`~repro.errors.DeadlineExceeded`) propagates, stamped with
+       the rung's name and without charging the breaker — the request
+       ran out, the tier did not fail, and a slower rung only spends
+       more of what ran out;
+    4. any other exception charges the breaker and, with a
+       :class:`~repro.errors.DegradedResultWarning`, falls through to the
+       next rung — unless the rung is the last or ``fallback`` is
+       ``False``, when it propagates unchanged;
+    5. on success the breaker records the rung's latency and every
+       answer is stamped with the rung's tier label, and with ``epoch``
+       when the answer does not name the snapshot it came from.
+    """
+    if not fallback:
+        rungs = rungs[:1]
+    for position, rung in enumerate(rungs):
+        last = position + 1 == len(rungs)
+        if deadline is not None:
+            deadline.check(stage="guard", tier=rung.name)
+        breaker = rung.breaker
+        if breaker is not None and not last and not breaker.allow():
+            warnings.warn(
+                DegradedResultWarning(
+                    f"{rung.name} tier skipped: its circuit breaker is "
+                    f"{breaker.state}; degrading to the "
+                    f"{rungs[position + 1].name} tier"
+                ),
+                stacklevel=3,
+            )
+            continue
+        started = time.monotonic()
+        try:
+            results = rung.answer()
+        except QueryBudgetExceeded as exc:
+            exc.tier = exc.tier or rung.name
+            raise
+        except Exception as exc:  # repro: noqa[typed-errors] -- the degradation ladder exists to absorb arbitrary engine faults; anything narrower would crash on the exact bugs it guards against
+            if breaker is not None:
+                breaker.record_failure()
+            if last:
+                raise
+            warnings.warn(
+                DegradedResultWarning(
+                    f"{rung.name} engine failed ({type(exc).__name__}: "
+                    f"{exc}); degrading to the {rungs[position + 1].name} "
+                    "tier"
+                ),
+                stacklevel=3,
+            )
+            continue
+        if breaker is not None:
+            breaker.record_success(1000.0 * (time.monotonic() - started))
+        tier = rung.tier or rung.name
+        return [
+            replace(
+                result,
+                tier=tier,
+                epoch=result.epoch if result.epoch >= 0 else epoch,
+            )
+            for result in results
+        ]
+    raise InvariantViolation("no serving tier ran")
+
+
 def run_query(
     graph: DominantGraph,
     function: ScoringFunction,
@@ -193,6 +305,9 @@ def run_query(
     breakers: BreakerBoard | None = None,
 ) -> TopKResult:
     """Answer a top-k query with budgets and engine degradation.
+
+    Runs :func:`run_ladder` over the tiers from ``engine`` down:
+    compiled → reference → naive, all over the mutable graph.
 
     Parameters
     ----------
@@ -219,14 +334,10 @@ def run_query(
         the compiled tier; ignored (and rebuilt) when stale.
     deadline:
         Optional end-to-end request deadline, shared across the whole
-        degradation chain (unlike ``budget_ms``, which restarts per
-        tier).  Checked before each tier attempt, enforced
+        ladder.  Checked before each tier attempt and enforced
         mid-traversal through the budgeted counter and the kernel chunk
-        checkpoints, and consulted for remaining-time-aware skipping:
-        when a tier fails and the breakers' smoothed latency estimate
-        for the *next* tier already exceeds the time left, the guard
-        raises :class:`~repro.errors.DeadlineExceeded` instead of
-        starting a fallback that provably cannot finish.
+        checkpoints; expiry raises
+        :class:`~repro.errors.DeadlineExceeded`, never a degraded answer.
     breakers:
         Optional :class:`~repro.resilience.breaker.BreakerBoard` of
         per-tier circuit breakers (keys ``"tier:<name>"``).  A tier
@@ -256,51 +367,16 @@ def run_query(
     start = engine if engine != "auto" else "compiled"
     if start not in TIERS:
         raise ValueError(f"unknown engine {start!r} (choose from {TIERS})")
-    chain = TIERS[TIERS.index(start):]
-    if not fallback:
-        chain = chain[:1]
     started = time.monotonic()
 
-    failure: Exception | None = None
-    for position, tier in enumerate(chain):
-        last = position + 1 == len(chain)
-        if deadline is not None:
-            deadline.check(stage="guard", tier=tier)
-        breaker = None if breakers is None else breakers.get(f"tier:{tier}")
-        if breaker is not None and not last and not breaker.allow():
-            warnings.warn(
-                DegradedResultWarning(
-                    f"{tier} tier skipped: its circuit breaker is "
-                    f"{breaker.state}; degrading to the "
-                    f"{chain[position + 1]} tier"
-                ),
-                stacklevel=2,
+    def rung(tier: str) -> Rung:
+        def answer() -> "list[TopKResult]":
+            stats = BudgetedAccessCounter(
+                max_records=budget_records,
+                budget_ms=budget_ms,
+                started=started,
+                deadline=deadline,
             )
-            continue
-        if (
-            deadline is not None
-            and breaker is not None
-            and not last
-            and (estimate := breaker.latency_ewma_ms) is not None
-            and deadline.remaining_ms() < estimate
-        ):
-            # This tier's typical latency already exceeds the time left,
-            # and every later tier is slower still: fail fast rather
-            # than burn the remaining budget on a doomed attempt.
-            raise DeadlineExceeded(
-                deadline.total_ms,
-                deadline.spent_ms(),
-                stage="guard-skip",
-                tier=tier,
-            )
-        stats = BudgetedAccessCounter(
-            max_records=budget_records,
-            budget_ms=budget_ms,
-            started=started,
-            deadline=deadline,
-        )
-        tier_started = time.monotonic()
-        try:
             result = _run_tier(
                 tier, graph, snapshot, function, k, where, stats, deadline
             )
@@ -308,32 +384,11 @@ def run_query(
             # fast path) never tripped the per-access enforcement, but
             # the wall-clock budget applies to elapsed time regardless.
             stats.enforce()
-        except QueryBudgetExceeded as exc:
-            # Lower tiers access at least as many records: degrading
-            # around a budget would just spend more of it.  Surface the
-            # typed error with the tier that tripped it.  Budget trips
-            # are the caller's fault, not the tier's: no breaker charge.
-            exc.tier = exc.tier or tier
-            raise
-        except Exception as exc:  # repro: noqa[typed-errors] -- the degradation chain exists to absorb arbitrary engine faults; anything narrower would crash on the exact bugs it guards against
-            if breaker is not None:
-                breaker.record_failure()
-            failure = exc
-            if last:
-                raise
-            warnings.warn(
-                DegradedResultWarning(
-                    f"{tier} engine failed ({type(exc).__name__}: {exc}); "
-                    f"degrading to the {chain[position + 1]} tier"
-                ),
-                stacklevel=2,
-            )
-            continue
-        if breaker is not None:
-            breaker.record_success(
-                1000.0 * (time.monotonic() - tier_started)
-            )
-        return replace(result, tier=tier)
-    if failure is not None:
-        raise failure
-    raise InvariantViolation("no serving tier ran")
+            return [result]
+
+        breaker = None if breakers is None else breakers.get(f"tier:{tier}")
+        return Rung(tier, answer, breaker)
+
+    rungs = [rung(tier) for tier in TIERS[TIERS.index(start):]]
+    (result,) = run_ladder(rungs, deadline=deadline, fallback=fallback)
+    return result

@@ -20,9 +20,9 @@ moves through the classic three states:
     (``half_open_max``) are admitted.  All probes succeeding closes the
     breaker; any probe failing re-opens it for another cooldown.
 
-Breakers also keep an EWMA of success latency so tier selection can ask
-"can this tier finish in the time the request has left?" — the
-remaining-time-aware skipping in :func:`repro.core.guard.run_query`.
+Breakers also keep an EWMA of success latency, reported by health
+probes beside the state.  :func:`repro.core.guard.run_ladder` consults
+the state and feeds back every outcome.
 
 All methods are thread-safe; the clock is injectable so the chaos suite
 can drive state transitions deterministically.

@@ -64,7 +64,11 @@ class ResultCache:
         self._purged = 0
 
     def get(self, key: "Optional[CacheKey]") -> "Optional[TopKResult]":
-        """Look up a cached result; counts a miss for uncacheable keys."""
+        """Look up a cached result, counting a hit or a miss.
+
+        An uncacheable query (``key is None``) returns ``None`` without
+        counting anything, so the hit rate covers cacheable reads only.
+        """
         if key is None:
             return None
         with self._lock:

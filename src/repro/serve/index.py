@@ -64,7 +64,9 @@ compiles from scratch, which *is* a compaction, so crash recovery is
 bit-identical to full WAL replay by construction.
 
 Query admission is bounded (:mod:`repro.serve.admission`): overload
-sheds instead of queueing without bound, transient engine faults are
+sheds instead of queueing without bound.  Single and batch reads share
+one read path and the one degradation ladder
+(:func:`~repro.core.guard.run_ladder`): transient engine faults are
 retried with backoff and then degraded to a scan *of the same pinned
 snapshot* (so even a degraded answer is epoch-consistent), and budgets
 ride :class:`~repro.core.guard.BudgetedAccessCounter` unchanged.
@@ -97,8 +99,9 @@ import threading
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Iterable, cast
 
 import numpy as np
 
@@ -107,7 +110,7 @@ from repro.core.compiled import CompiledDG, batch_top_k
 from repro.core.dataset import Dataset
 from repro.core.functions import ScoringFunction, WherePredicate
 from repro.core.graph import DominantGraph
-from repro.core.guard import BudgetedAccessCounter
+from repro.core.guard import BudgetedAccessCounter, Rung, run_ladder
 from repro.core.io import fsync_directory, load_graph, save_graph
 from repro.core.maintenance import (
     OverlayBuilder,
@@ -126,10 +129,8 @@ from repro.core.overlay import (
 from repro.core.result import TopKResult
 from repro.metrics.counters import AccessCounter
 from repro.errors import (
-    DeadlineExceeded,
     DegradedResultWarning,
     IndexCorruptionError,
-    QueryBudgetExceeded,
     ServiceUnavailable,
     StoreCorruptionError,
     WALCorruptionError,
@@ -161,6 +162,10 @@ _PUBLISH_SAMPLE_WINDOW = 512
 #: Sidecar spool throttle: at most one rewrite per this many seconds
 #: (the first delta publish after a fold always spools).
 _SIDECAR_MIN_INTERVAL = 0.1
+#: Retry for a transiently failing compiled rung: one retry after 5 ms.
+_COMPILED_RETRY = RetryPolicy(attempts=2, base_delay=0.005)
+#: Queries per fabric sub-batch (see batch_top_k for the memory bound).
+_FABRIC_BATCH_SIZE = 64
 
 
 def _save_checkpoint(graph: DominantGraph, path: str, seq: int) -> str:
@@ -356,14 +361,6 @@ def _fresh_stats():
     return AccessCounter()
 
 
-class _BreakerSkip(Exception):
-    """Internal control flow: a tier was skipped by its open breaker.
-
-    Raised into the degradation handler so a breaker-rejected tier and
-    a failed tier take the same fallback path; never escapes the index.
-    """
-
-
 # ----------------------------------------------------------------------
 # The serving index
 # ----------------------------------------------------------------------
@@ -382,9 +379,6 @@ class ServingIndex:
         :meth:`checkpoint`/:meth:`close`).
     max_concurrent / max_waiting / wait_timeout:
         Admission bounds (see :class:`~repro.serve.admission.AdmissionController`).
-    query_retries:
-        Extra attempts for a transiently failing snapshot traversal
-        before degrading to the snapshot scan.
     cache_size:
         Capacity of the epoch-keyed LRU result cache
         (:mod:`repro.serve.cache`); ``None`` or ``0`` disables caching.
@@ -395,9 +389,6 @@ class ServingIndex:
         of this many processes over a shared-memory copy of each
         published snapshot; :meth:`query_batch` then fans out to it, and
         every writer publish republishes the shared segment.
-    worker_batch_size:
-        Queries per fabric sub-batch (see
-        :func:`~repro.core.compiled.batch_top_k` for the memory bound).
     timeout_policy:
         The stack's wall-clock knobs
         (:class:`~repro.resilience.policy.TimeoutPolicy`): the default
@@ -405,10 +396,6 @@ class ServingIndex:
         timeout, and the hedge fraction.  The default grants no
         deadline (unbounded requests, the pre-resilience behaviour) and
         a 2-second reply timeout on the fabric.
-    retry_policy:
-        Deadline-aware retry for transiently failing snapshot
-        traversals (:class:`~repro.resilience.policy.RetryPolicy`);
-        overrides ``query_retries``/``retry_base_delay`` when given.
     overlay_limit:
         Cap on the delta overlay's size (inserts + deletions) before a
         publish folds it with a synchronous full recompile.  ``0`` or
@@ -452,13 +439,9 @@ class ServingIndex:
         max_concurrent: int = 8,
         max_waiting: int = 16,
         wait_timeout: float | None = 5.0,
-        query_retries: int = 1,
-        retry_base_delay: float = 0.005,
         cache_size: int | None = 256,
         workers: int = 0,
-        worker_batch_size: int = 64,
         timeout_policy: TimeoutPolicy | None = None,
-        retry_policy: RetryPolicy | None = None,
         scrub_interval: float | None = None,
         overlay_limit: int | None = 128,
         compact_interval: float | None = None,
@@ -497,13 +480,6 @@ class ServingIndex:
         self._timeouts = (
             TimeoutPolicy() if timeout_policy is None else timeout_policy
         )
-        self._retry = (
-            RetryPolicy(
-                attempts=query_retries + 1, base_delay=retry_base_delay
-            )
-            if retry_policy is None
-            else retry_policy
-        )
         self._breakers = BreakerBoard(window=8, min_calls=3, cooldown=0.5)
         self._admission = AdmissionController(
             max_concurrent=max_concurrent,
@@ -534,7 +510,7 @@ class ServingIndex:
             self._fabric = ParallelQueryExecutor(
                 self._snapshot.compiled,
                 workers=workers,
-                batch_size=worker_batch_size,
+                batch_size=_FABRIC_BATCH_SIZE,
                 epoch=self._snapshot.epoch,
                 reply_timeout=self._timeouts.reply_timeout,
                 hedge_fraction=self._timeouts.hedge_fraction,
@@ -734,14 +710,20 @@ class ServingIndex:
         """Answer a top-k query from the current snapshot.
 
         The snapshot is pinned once, after admission; everything the
-        query touches — traversal, retries, the degraded scan — reads
-        that one immutable version, so the result is tagged with its
-        epoch and can never mix two index states.  Budgets behave as in
-        :func:`repro.core.guard.run_query` (shared deadline, no
-        degradation around a budget violation).  Transient traversal
-        faults are retried with backoff, then degraded to
+        query touches — cache, traversal, retries, the degraded scan —
+        reads that one immutable version, so the result is tagged with
+        its epoch and can never mix two index states.  The answer comes
+        from the serving ladder (:func:`repro.core.guard.run_ladder`):
+        the compiled kernel (:meth:`~repro.core.compiled.CompiledDG.top_k`,
+        or :func:`~repro.core.overlay.overlay_top_k` while a delta
+        overlay is live), retried once on a transient fault and skipped
+        while its ``tier:compiled`` breaker is open, then
         :func:`snapshot_scan` under a :class:`DegradedResultWarning`
-        unless ``fallback=False``.
+        unless ``fallback=False``.  Budgets behave as in
+        :func:`repro.core.guard.run_query` (shared deadline, no
+        degradation around a budget violation).  Unfiltered, unbudgeted
+        linear queries are served from the epoch-keyed result cache;
+        only compiled-tier answers are stored.
 
         ``deadline_ms`` grants the request an end-to-end deadline
         (default: the index's
@@ -750,8 +732,7 @@ class ServingIndex:
         admission wait, checkpoints the kernel's chunk loop, bounds the
         retry backoff, and covers the degraded scan — expiry anywhere
         raises :class:`~repro.errors.DeadlineExceeded`, never a silent
-        overrun.  A compiled tier whose circuit breaker is open is
-        skipped straight to the scan tier.
+        overrun.
 
         Raises
         ------
@@ -762,99 +743,16 @@ class ServingIndex:
             A budget or deadline tripped; never retried, never degraded
             around.
         """
-        if self._draining or self._closed:
-            raise ServiceUnavailable(
-                "draining" if not self._closed else "closed"
-            )
-        deadline = self._timeouts.deadline_for(deadline_ms)
-        with self._admission.admit(timeout=admission_timeout, deadline=deadline):
-            snap = self._snapshot
-            key: CacheKey | None = None
-            if (
-                self._cache is not None
-                and where is None
-                and budget_ms is None
-                and budget_records is None
-            ):
-                key = cache_key(function, k, snap.epoch)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    return cached
-            started = time.monotonic()
-            compiled_breaker = self._breakers.get("tier:compiled")
-
-            def attempt() -> TopKResult:
-                stats = BudgetedAccessCounter(
-                    max_records=budget_records,
-                    budget_ms=budget_ms,
-                    started=started,
-                    deadline=deadline,
-                )
-                if snap.overlay is not None:
-                    result = overlay_top_k(
-                        snap.compiled, snap.overlay, function, k,
-                        where=where, stats=stats, deadline=deadline,
-                    )
-                else:
-                    result = snap.compiled.top_k(
-                        function, k, where=where, stats=stats,
-                        deadline=deadline,
-                    )
-                stats.enforce()
-                return result
-
-            try:
-                if fallback and not compiled_breaker.allow():
-                    raise _BreakerSkip(
-                        f"compiled tier breaker is {compiled_breaker.state}"
-                    )
-                tier_started = time.monotonic()
-                result = self._retry.run(attempt, deadline=deadline)
-                compiled_breaker.record_success(
-                    1000.0 * (time.monotonic() - tier_started)
-                )
-                tier = "compiled"
-            except QueryBudgetExceeded as exc:
-                # Budget and deadline expiries are the request's verdict,
-                # not the tier's failure: no breaker charge, no fallback
-                # (every lower tier only spends more of what ran out).
-                exc.tier = exc.tier or "compiled"
-                raise
-            except Exception as exc:  # repro: noqa[typed-errors] -- degrading to the snapshot scan must absorb whatever the compiled tier throws
-                if not isinstance(exc, _BreakerSkip):
-                    compiled_breaker.record_failure()
-                if not fallback:
-                    raise
-                warnings.warn(
-                    DegradedResultWarning(
-                        f"snapshot traversal failed after retries "
-                        f"({type(exc).__name__}: {exc}); degrading to the "
-                        "snapshot scan"
-                    ),
-                    stacklevel=2,
-                )
-                stats = BudgetedAccessCounter(
-                    max_records=budget_records,
-                    budget_ms=budget_ms,
-                    started=started,
-                    deadline=deadline,
-                )
-                try:
-                    result = snapshot_scan(
-                        snap.compiled, function, k, where=where,
-                        stats=stats, overlay=snap.overlay,
-                    )
-                    stats.enforce()
-                except QueryBudgetExceeded as budget_exc:
-                    budget_exc.tier = budget_exc.tier or "naive"
-                    raise
-                tier = "naive"
-            final = replace(result, tier=tier, epoch=snap.epoch)
-            if key is not None and tier == "compiled" and self._cache is not None:
-                # Degraded answers are exact too, but caching them would
-                # keep reporting tier="naive" after the engine healed.
-                self._cache.put(key, final)
-            return final
+        (result,) = self._read(
+            [function], k,
+            where=where,
+            admission_timeout=admission_timeout,
+            deadline_ms=deadline_ms,
+            budget_ms=budget_ms,
+            budget_records=budget_records,
+            fallback=fallback,
+        )
+        return result
 
     def query_batch(
         self,
@@ -868,24 +766,19 @@ class ServingIndex:
     ) -> list[TopKResult]:
         """Answer many top-k queries in one admission slot.
 
-        With ``workers`` configured the batch fans out to the shared
-        -memory fabric (``mode`` as in
+        The read path of :meth:`query` — one snapshot pin, the cache per
+        query (only the misses are computed), the same ladder — with the
+        batch kernel :func:`~repro.core.compiled.batch_top_k` (or
+        :func:`~repro.core.overlay.overlay_batch_top_k` while a delta
+        overlay is live) in place of the single-query one.  With
+        ``workers`` configured and no overlay live, the ladder starts one
+        rung higher, at the shared-memory fabric (``mode`` as in
         :meth:`~repro.parallel.executor.ParallelQueryExecutor.map_queries`);
-        otherwise it runs the in-process
-        :func:`~repro.core.compiled.batch_top_k` sweep.  Either way each
-        result is bit-identical to :meth:`query` for the same function
-        and carries the epoch of the snapshot that answered it.  Cached
-        answers (epoch-keyed, linear functions, no ``where``) are reused
-        per query; only the misses are computed.
-
-        Degradation ladder: a fabric infrastructure failure (or an open
-        ``fabric`` circuit breaker) falls back to the in-process
-        compiled sweep, which in turn falls back to the per-query
-        :func:`snapshot_scan` — every rung answers from the same pinned
-        snapshot, so even a twice-degraded batch is epoch-consistent
-        and bit-identical.  A :class:`~repro.errors.DeadlineExceeded`
-        never falls through the ladder: when the request's time ran
-        out, a slower rung cannot help, so the typed error propagates.
+        a fabric failure or an open ``fabric`` breaker falls back to the
+        in-process sweep.  Each result is bit-identical to :meth:`query`
+        for the same function and carries the epoch of the snapshot that
+        answered it.  A :class:`~repro.errors.DeadlineExceeded` never
+        falls through the ladder.
 
         ``deadline_ms`` grants the end-to-end deadline (default: the
         index's timeout policy); it clamps the admission wait, rides
@@ -894,141 +787,175 @@ class ServingIndex:
         Budgets are not supported on the batch path — issue budgeted
         queries individually through :meth:`query`.
         """
+        return self._read(
+            list(functions), k,
+            where=where,
+            admission_timeout=admission_timeout,
+            deadline_ms=deadline_ms,
+            batch_mode=mode,
+        )
+
+    def _read(
+        self,
+        functions: list[ScoringFunction],
+        k: int,
+        *,
+        where: WherePredicate | None,
+        admission_timeout: float | None,
+        deadline_ms: float | None,
+        budget_ms: float | None = None,
+        budget_records: int | None = None,
+        fallback: bool = True,
+        batch_mode: str | None = None,
+    ) -> list[TopKResult]:
+        """The one read path behind :meth:`query` and :meth:`query_batch`.
+
+        Draining check, admission, the single snapshot pin, cache get,
+        the ladder over the misses, cache put.  ``batch_mode`` is the
+        fabric mode of a batch; ``None`` marks a single query, which
+        gets no fabric rung and the single-query kernel.  A cache hit
+        returns before any rung is built.
+        """
         if self._draining or self._closed:
             raise ServiceUnavailable(
                 "draining" if not self._closed else "closed"
             )
-        requested = list(functions)
-        if not requested:
+        if not functions:
             return []
         deadline = self._timeouts.deadline_for(deadline_ms)
         with self._admission.admit(timeout=admission_timeout, deadline=deadline):
             snap = self._snapshot
-            results: list[TopKResult | None] = [None] * len(requested)
-            keys: list[CacheKey | None] = [None] * len(requested)
-            if self._cache is not None and where is None:
-                for index, function in enumerate(requested):
+            cache = self._cache
+            if (
+                where is not None
+                or budget_ms is not None
+                or budget_records is not None
+            ):
+                cache = None  # filtered and budgeted reads must re-run
+            keys: list[CacheKey | None] = [None] * len(functions)
+            results: list[TopKResult | None] = [None] * len(functions)
+            if cache is not None:
+                for index, function in enumerate(functions):
                     keys[index] = cache_key(function, k, snap.epoch)
-                    cached = self._cache.get(keys[index])
-                    if cached is not None:
-                        results[index] = cached
+                    results[index] = cache.get(keys[index])
             misses = [i for i, result in enumerate(results) if result is None]
             if misses:
-                miss_functions = [requested[i] for i in misses]
-                computed = self._compute_batch(
-                    snap, miss_functions, k, where, mode, deadline
+                rungs = self._rungs(
+                    snap, [functions[i] for i in misses], k, where,
+                    budget_ms, budget_records, deadline, batch_mode,
+                )
+                computed = run_ladder(
+                    rungs, deadline=deadline, fallback=fallback,
+                    epoch=snap.epoch,
                 )
                 for index, result in zip(misses, computed):
                     results[index] = result
+                    key = keys[index]
                     if (
-                        self._cache is not None
-                        and keys[index] is not None
+                        cache is not None
+                        and key is not None
                         # Scan-tier answers are exact but would keep
                         # reporting tier="naive" after the engine healed.
                         and result.tier == "compiled"
-                        # A publish can race the fan-out; never file a
-                        # result under an epoch it was not computed from.
+                        # A publish can race the fabric fan-out; never
+                        # file a result under an epoch it was not
+                        # computed from.
                         and result.epoch == snap.epoch
                     ):
-                        self._cache.put(keys[index], result)
-            return [result for result in results if result is not None]
+                        cache.put(key, result)
+            return cast("list[TopKResult]", results)  # every slot is filled
 
-    def _compute_batch(
+    def _rungs(
         self,
         snap: ServingSnapshot,
-        miss_functions: list[ScoringFunction],
+        functions: list[ScoringFunction],
         k: int,
         where: WherePredicate | None,
-        mode: str,
+        budget_ms: float | None,
+        budget_records: int | None,
         deadline: Deadline | None,
-    ) -> list[TopKResult]:
-        """Run batch misses down the ladder: fabric → in-process → scan.
+        batch_mode: str | None,
+    ) -> list[Rung]:
+        """The serving ladder over one pinned snapshot.
 
-        The fabric rung only serves overlay-free snapshots: workers hold
-        the shared-memory *base*, which is republished at compaction, so
-        while a delta overlay is live the batch runs the in-process
-        merge instead (still exact, still epoch-consistent).
+        ``[fabric, compiled, naive]``: the fabric rung only for a batch
+        on an overlay-free snapshot (workers hold the shared-memory
+        *base*, republished at compaction), the compiled rung wrapped in
+        the retry policy, and the snapshot scan as the oracle of last
+        resort, which reads only the snapshot's immutable arrays, so
+        even a degraded answer is epoch-consistent.
         """
-        fabric_breaker = self._breakers.get("fabric")
-        if (
-            self._fabric is not None
-            and snap.overlay is None
-            and fabric_breaker.allow()
-        ):
-            fabric_started = time.monotonic()
-            try:
-                computed = [
-                    replace(result, tier="compiled")
-                    for result in self._fabric.map_queries(
-                        miss_functions, k, where=where, mode=mode,
-                        deadline=deadline,
-                    )
-                ]
-            except DeadlineExceeded:
-                # The request's time is gone; no rung below is faster.
-                raise
-            except Exception as exc:  # repro: noqa[typed-errors] -- any fabric infrastructure fault must degrade to the in-process rung, not fail the batch
-                fabric_breaker.record_failure()
-                warnings.warn(
-                    DegradedResultWarning(
-                        f"fabric batch failed ({type(exc).__name__}: "
-                        f"{exc}); degrading to the in-process compiled "
-                        "sweep"
-                    ),
-                    stacklevel=3,
-                )
-            else:
-                fabric_breaker.record_success(
-                    1000.0 * (time.monotonic() - fabric_started)
-                )
-                return computed
-        elif self._fabric is not None and snap.overlay is None:
-            warnings.warn(
-                DegradedResultWarning(
-                    f"fabric skipped: its circuit breaker is "
-                    f"{fabric_breaker.state}; using the in-process "
-                    "compiled sweep"
-                ),
-                stacklevel=3,
+        started = time.monotonic()
+
+        def counter() -> BudgetedAccessCounter:
+            return BudgetedAccessCounter(
+                max_records=budget_records,
+                budget_ms=budget_ms,
+                started=started,
+                deadline=deadline,
             )
-        try:
-            if snap.overlay is not None:
-                swept = overlay_batch_top_k(
-                    snap.compiled, snap.overlay, miss_functions, k,
-                    where=where, deadline=deadline,
-                )
-            else:
-                swept = batch_top_k(
-                    snap.compiled, miss_functions, k, where=where,
+
+        def compiled() -> list[TopKResult]:
+            if batch_mode is not None:
+                if snap.overlay is not None:
+                    return overlay_batch_top_k(
+                        snap.compiled, snap.overlay, functions, k,
+                        where=where, deadline=deadline,
+                    )
+                return batch_top_k(
+                    snap.compiled, functions, k, where=where,
                     deadline=deadline,
                 )
-            return [
-                replace(result, tier="compiled", epoch=snap.epoch)
-                for result in swept
-            ]
-        except QueryBudgetExceeded:
-            raise
-        except Exception as exc:  # repro: noqa[typed-errors] -- the last automatic rung before the scan oracle must absorb arbitrary kernel faults
-            warnings.warn(
-                DegradedResultWarning(
-                    f"in-process batch failed ({type(exc).__name__}: "
-                    f"{exc}); degrading to the snapshot scan"
-                ),
-                stacklevel=3,
-            )
-            computed = []
-            for function in miss_functions:
+            (function,) = functions
+            stats = counter()
+            if snap.overlay is not None:
+                result = overlay_top_k(
+                    snap.compiled, snap.overlay, function, k,
+                    where=where, stats=stats, deadline=deadline,
+                )
+            else:
+                result = snap.compiled.top_k(
+                    function, k, where=where, stats=stats, deadline=deadline,
+                )
+            stats.enforce()
+            return [result]
+
+        def scan() -> list[TopKResult]:
+            answers: list[TopKResult] = []
+            for function in functions:
                 if deadline is not None:
                     deadline.check(stage="scan", tier="naive")
-                stats = BudgetedAccessCounter(deadline=deadline)
-                result = snapshot_scan(
-                    snap.compiled, function, k, where=where, stats=stats,
-                    overlay=snap.overlay,
+                stats = counter()
+                answers.append(
+                    snapshot_scan(
+                        snap.compiled, function, k, where=where,
+                        stats=stats, overlay=snap.overlay,
+                    )
                 )
-                computed.append(
-                    replace(result, tier="naive", epoch=snap.epoch)
-                )
-            return computed
+                stats.enforce()
+            return answers
+
+        rungs = [
+            Rung(
+                "compiled",
+                partial(_COMPILED_RETRY.run, compiled, deadline=deadline),
+                self._breakers.get("tier:compiled"),
+            ),
+            Rung("naive", scan),
+        ]
+        fabric = self._fabric
+        if (
+            batch_mode is not None
+            and fabric is not None
+            and snap.overlay is None
+        ):
+            fan_out = partial(
+                fabric.map_queries, functions, k,
+                where=where, mode=batch_mode, deadline=deadline,
+            )
+            breaker = self._breakers.get("fabric")
+            rungs.insert(0, Rung("fabric", fan_out, breaker, tier="compiled"))
+        return rungs
 
     # ------------------------------------------------------------------
     # Writes (single-writer, validated, logged, published)
@@ -1516,7 +1443,7 @@ class ServingIndex:
                 "default_deadline_ms": self._timeouts.default_deadline_ms,
                 "reply_timeout": self._timeouts.reply_timeout,
                 "hedge_fraction": self._timeouts.hedge_fraction,
-                "retry_attempts": self._retry.attempts,
+                "retry_attempts": _COMPILED_RETRY.attempts,
             },
             "cache": (
                 self._cache.stats() if self._cache is not None else None

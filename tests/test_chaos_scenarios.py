@@ -13,10 +13,10 @@ asserted:
 - **bounded recovery** — full-fidelity service returns within the
   configured limit after the last fault.
 
-These are integration tests of the whole degradation ladder (fabric →
-compiled → reference), not of the orchestrator alone: a regression in
-the executor's heal/reap logic, the guard's breaker handling, or the
-WAL replay path shows up here as a violated invariant.
+These are integration tests of the whole serving ladder (fabric →
+compiled → snapshot scan), not of the orchestrator alone: a regression
+in the executor's heal/reap logic, the ladder's breaker handling, or
+the WAL replay path shows up here as a violated invariant.
 """
 
 from __future__ import annotations

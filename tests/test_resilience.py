@@ -12,11 +12,14 @@ import os
 import signal
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+import repro.serve.index as serve_index
 from repro.core.builder import build_extended_graph
+from repro.core.compiled import CompiledDG
 from repro.core.dataset import Dataset
 from repro.core.functions import LinearFunction
 from repro.core.guard import run_query
@@ -261,11 +264,52 @@ def graph():
     return build_extended_graph(Dataset(rng.random((60, 2))))
 
 
+@pytest.fixture
+def served(graph, tmp_path):
+    """A serving index over ``graph``: the snapshot side of the ladder."""
+    index = ServingIndex.create(str(tmp_path / "served"), graph)
+    yield index
+    index.close(checkpoint=False)
+
+
+#: The serving index's read entry points, each answering ``F`` at k=5.
+SERVED_READS = (
+    lambda index, **kw: index.query(F, 5, **kw),
+    lambda index, **kw: index.query_batch([F], 5, **kw)[0],
+)
+
+
+def trip(breaker: CircuitBreaker) -> None:
+    """Record failures until ``breaker`` opens."""
+    while breaker.state != OPEN:
+        breaker.record_failure()
+
+
 class TestGuardDeadline:
-    def test_expired_deadline_is_typed_and_never_degrades(self, graph):
+    """The one ladder, through ``run_query`` and the serving index."""
+
+    def test_expired_deadline_is_typed_and_never_degrades(
+        self, graph, served, monkeypatch
+    ):
         expired = Deadline(expires_at=time.monotonic() - 1.0, total_ms=1.0)
         with pytest.raises(DeadlineExceeded):
             run_query(graph, F, 5, deadline=expired)
+
+        def out_of_time(*_args, **_kwargs):
+            raise DeadlineExceeded(1.0, 2.0, stage="kernel")
+
+        # The deadline expires inside the serving ladder's compiled rung.
+        monkeypatch.setattr(CompiledDG, "top_k", out_of_time)
+        monkeypatch.setattr(serve_index, "batch_top_k", out_of_time)
+        for read in SERVED_READS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DegradedResultWarning)
+                with pytest.raises(DeadlineExceeded) as excinfo:
+                    read(served)
+            assert excinfo.value.tier == "compiled"
+        # The request ran out; the tier did not fail.
+        compiled = served.health()["breakers"]["tier:compiled"]
+        assert compiled["window_failures"] == 0
 
     def test_generous_deadline_changes_nothing(self, graph):
         deadline = Deadline.after_ms(60_000)
@@ -275,7 +319,7 @@ class TestGuardDeadline:
         assert bounded.scores == pytest.approx(free.scores)
         assert bounded.tier == "compiled"
 
-    def test_open_breaker_skips_a_non_final_tier(self, graph):
+    def test_open_breaker_skips_a_non_final_tier(self, graph, served):
         board = BreakerBoard(min_calls=1, failure_threshold=0.5)
         board.get("tier:compiled").record_failure()
         assert board.get("tier:compiled").state == OPEN
@@ -284,14 +328,29 @@ class TestGuardDeadline:
         assert result.tier == "reference"
         oracle = run_query(graph, F, 5, engine="naive")
         assert result.ids == oracle.ids
+        # Serving skips the open compiled rung straight to the snapshot
+        # scan, for batches as for single queries.
+        for read in SERVED_READS:
+            trip(served._breakers.get("tier:compiled"))
+            with pytest.warns(DegradedResultWarning, match="compiled tier skipped"):
+                result = read(served)
+            assert result.tier == "naive"
+            assert (result.ids, result.scores) == (oracle.ids, oracle.scores)
 
-    def test_open_breakers_never_skip_the_last_tier(self, graph):
+    def test_open_breakers_never_skip_the_last_tier(self, graph, served):
         board = BreakerBoard(min_calls=1, failure_threshold=0.5)
         for tier in ("compiled", "reference", "naive"):
             board.get(f"tier:{tier}").record_failure()
         with pytest.warns(DegradedResultWarning):
             result = run_query(graph, F, 5, breakers=board)
         assert result.tier == "naive"
+        # Without fallback the compiled rung is the last one: it answers
+        # even with its breaker open.
+        trip(served._breakers.get("tier:compiled"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedResultWarning)
+            result = served.query(F, 5, fallback=False)
+        assert result.tier == "compiled"
 
     def test_success_feeds_the_breaker_latency_estimate(self, graph):
         board = BreakerBoard()

@@ -7,10 +7,11 @@ import os
 import numpy as np
 import pytest
 
+import repro.serve.index as serve_index
 from repro.core.builder import build_dominant_graph
-from repro.core.compiled import CompiledAdvancedTraveler
+from repro.core.compiled import CompiledAdvancedTraveler, CompiledDG
 from repro.core.dataset import Dataset
-from repro.core.functions import LinearFunction
+from repro.core.functions import LinearFunction, ProductFunction
 from repro.core.verify import verify_graph
 from repro.errors import (
     DegradedResultWarning,
@@ -21,7 +22,7 @@ from repro.errors import (
     WALCorruptionError,
 )
 from repro.serve import ServingIndex, scan_wal
-from repro.serve.index import CURRENT_NAME, WAL_NAME
+from repro.serve.index import CURRENT_NAME, WAL_NAME, snapshot_scan
 from repro.testing import FlakyFunction
 
 from tests.conftest import assert_correct_topk
@@ -43,6 +44,16 @@ def serving(tmp_path, dataset) -> ServingIndex:
 
 def weights3() -> LinearFunction:
     return LinearFunction([0.5, 0.3, 0.2])
+
+
+#: The index's two read entry points, each answering one query.  Both
+#: run the same read path; only the kernel call differs.
+READS = {
+    "query": lambda index, function, k, **kw: index.query(function, k, **kw),
+    "query_batch": (
+        lambda index, function, k, **kw: index.query_batch([function], k, **kw)[0]
+    ),
+}
 
 
 class TraversalOnlyFault:
@@ -297,20 +308,31 @@ class TestQueries:
         assert excinfo.value.tier == "compiled"
 
     def test_transient_fault_retries_then_succeeds(self, serving, dataset):
-        flaky = FlakyFunction(weights3(), times=1)
-        result = serving.query(flaky, k=5)
-        assert result.tier == "compiled"
-        assert_correct_topk(result, dataset, weights3(), 5)
+        for read in READS.values():
+            flaky = FlakyFunction(weights3(), times=1)
+            result = read(serving, flaky, 5)
+            assert flaky.faults_raised == 1
+            assert result.tier == "compiled"
+            assert_correct_topk(result, dataset, weights3(), 5)
+        # A retried success is a success: the breaker saw no failure.
+        compiled = serving.health()["breakers"]["tier:compiled"]
+        assert compiled["window_failures"] == 0
 
     def test_persistent_fault_degrades_to_snapshot_scan(
         self, serving, dataset
     ):
-        faulty = TraversalOnlyFault(weights3(), len(dataset))
-        with pytest.warns(DegradedResultWarning, match="degrading"):
-            result = serving.query(faulty, k=5)
-        assert result.tier == "naive"
-        assert result.algorithm == "snapshot-scan"
-        assert_correct_topk(result, dataset, weights3(), 5)
+        oracle = snapshot_scan(serving.snapshot().compiled, weights3(), 5)
+        for charged, read in enumerate(READS.values(), start=1):
+            faulty = TraversalOnlyFault(weights3(), len(dataset))
+            with pytest.warns(DegradedResultWarning, match="degrading"):
+                result = read(serving, faulty, 5)
+            assert result.tier == "naive"
+            assert result.algorithm == "snapshot-scan"
+            assert (result.ids, result.scores) == (oracle.ids, oracle.scores)
+            assert_correct_topk(result, dataset, weights3(), 5)
+            # Batches charge the compiled tier's breaker like queries do.
+            compiled = serving.health()["breakers"]["tier:compiled"]
+            assert compiled["window_failures"] == charged
 
     def test_fallback_false_propagates_the_fault(self, serving, dataset):
         faulty = TraversalOnlyFault(weights3(), len(dataset))
@@ -319,12 +341,86 @@ class TestQueries:
 
     def test_degraded_scan_matches_traversal_exactly(self, serving, dataset):
         clean = serving.query(weights3(), k=8)
-        faulty = TraversalOnlyFault(weights3(), len(dataset))
-        with pytest.warns(DegradedResultWarning):
-            degraded = serving.query(faulty, k=8)
-        assert degraded.ids == clean.ids
-        assert degraded.scores == clean.scores
-        assert degraded.epoch == clean.epoch
+        for read in READS.values():
+            faulty = TraversalOnlyFault(weights3(), len(dataset))
+            with pytest.warns(DegradedResultWarning):
+                degraded = read(serving, faulty, 8)
+            assert degraded.ids == clean.ids
+            assert degraded.scores == clean.scores
+            assert degraded.epoch == clean.epoch
+
+
+@pytest.mark.parametrize("entry", list(READS))
+class TestResultCache:
+    """The epoch-keyed result cache, through both read entry points."""
+
+    def test_repeat_read_hits_with_the_same_result_and_epoch(
+        self, serving, entry
+    ):
+        read = READS[entry]
+        first = read(serving, weights3(), 5)
+        again = read(serving, weights3(), 5)
+        assert again is first
+        assert again.epoch == 0 and again.tier == "compiled"
+        # One cache serves both entry points.
+        other = READS["query_batch" if entry == "query" else "query"]
+        assert other(serving, weights3(), 5) is first
+        stats = serving.health()["cache"]
+        assert (stats["hits"], stats["misses"], stats["size"]) == (2, 1, 1)
+
+    def test_publish_orphans_the_entry(self, partial, entry):
+        index, _dataset = partial
+        read = READS[entry]
+        before = read(index, weights3(), 5)
+        index.insert(20)
+        after = read(index, weights3(), 5)
+        assert after is not before
+        assert (before.epoch, after.epoch) == (0, 1)
+        stats = index.health()["cache"]
+        assert (stats["hits"], stats["misses"]) == (0, 2)
+        assert (stats["purged"], stats["size"]) == (1, 1)
+
+    def test_filtered_budgeted_and_nonlinear_reads_bypass(
+        self, serving, entry
+    ):
+        read = READS[entry]
+        bypassing = [
+            (weights3(), {"where": lambda v: True}),
+            (ProductFunction([0.5, 0.3, 0.2]), {}),
+        ]
+        if entry == "query":  # budgets exist on the single-query path only
+            bypassing += [
+                (weights3(), {"budget_ms": 60_000.0}),
+                (weights3(), {"budget_records": 10_000}),
+            ]
+        for function, kwargs in bypassing:
+            first = read(serving, function, 5, **kwargs)
+            again = read(serving, function, 5, **kwargs)
+            assert again is not first
+            assert (again.ids, again.scores) == (first.ids, first.scores)
+        # Uncacheable reads neither hit nor count a miss.
+        stats = serving.health()["cache"]
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 0, 0)
+
+    def test_scan_tier_answers_are_never_stored(
+        self, serving, monkeypatch, entry
+    ):
+        read = READS[entry]
+
+        def broken_kernel(*_args, **_kwargs):
+            raise RuntimeError("injected kernel fault")
+
+        monkeypatch.setattr(CompiledDG, "top_k", broken_kernel)
+        monkeypatch.setattr(serve_index, "batch_top_k", broken_kernel)
+        with pytest.warns(DegradedResultWarning, match="injected"):
+            degraded = read(serving, weights3(), 5)
+        assert degraded.tier == "naive"
+        assert serving.health()["cache"]["size"] == 0
+        monkeypatch.undo()
+        healed = read(serving, weights3(), 5)
+        assert healed.tier == "compiled"
+        assert (healed.ids, healed.scores) == (degraded.ids, degraded.scores)
+        assert serving.health()["cache"]["size"] == 1
 
 
 class TestWriterPoisoning:
@@ -341,8 +437,6 @@ class TestWriterPoisoning:
         index, _dataset = partial
         epoch_before = index.epoch
         result_before = index.query(weights3(), k=5)
-
-        import repro.serve.index as serve_index
 
         def boom(graph, rid):
             raise RuntimeError("injected apply fault")
